@@ -18,6 +18,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/core"
 	cppkg "repro/internal/cp"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/gossip"
@@ -505,7 +506,7 @@ func BenchmarkAblationBBBColorer(b *testing.B) {
 		name string
 		c    bbbpkg.Colorer
 	}{
-		{"DSATUR", coloring.DSATUR},
+		{"DSATUR", new(coloring.DSATUR).Color},
 		{"RLF", coloring.RLF},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
@@ -566,6 +567,9 @@ func BenchmarkMatcherSSP(b *testing.B) {
 
 // ---- Substrate microbenchmarks ----
 
+// BenchmarkDSATURConflictGraph100 times BBB's per-event substrate on a
+// Fig 10 network: the dense conflict-graph build plus DSATUR, with the
+// buffers reused across iterations as BBB reuses them across events.
 func BenchmarkDSATURConflictGraph100(b *testing.B) {
 	p := workload.Defaults()
 	st, err := sim.NewStrategy(sim.Minim)
@@ -577,10 +581,39 @@ func BenchmarkDSATURConflictGraph100(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := st.Network().Graph()
+	var cg coloring.Graph
+	var ds coloring.DSATUR
+	colors := make([]toca.Color, g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adj := coloring.Adjacency(toca.ConflictGraph(g))
-		coloring.DSATUR(adj)
+		cg.BuildConflict(g)
+		ds.Color(&cg, colors)
+	}
+}
+
+// BenchmarkBBBChurnEvent100 times one churn event (join, leave, move or
+// power change) through an engine hosting BBB alone on a Fig 10 base:
+// the topology update plus the full recolor. The base is rebuilt,
+// untimed, whenever the churn script runs out.
+func BenchmarkBBBChurnEvent100(b *testing.B) {
+	p := workload.Defaults()
+	script := workload.Churn(5, p, 1000, workload.ChurnWeights{Join: 1, Leave: 1, Move: 3, Power: 2})
+	base, churn := script[:p.N], script[p.N:]
+	var eng *engine.Engine
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(churn) == 0 {
+			b.StopTimer()
+			eng = engine.New()
+			eng.Subscribe(bbbpkg.NewShared(eng.Network()))
+			if err := eng.ApplyAll(base); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := eng.Apply(churn[i%len(churn)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

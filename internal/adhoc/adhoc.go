@@ -373,14 +373,6 @@ func (n *Network) ConflictNeighbors(id graph.NodeID) map[graph.NodeID]struct{} {
 	return s
 }
 
-// ConflictGraph materializes the full TOCA conflict graph from the
-// cached per-node conflict sets: across consecutive events only the
-// dirty ball is recomputed, so centralized recoloring (BBB) stops
-// rebuilding every node's neighborhood from scratch per event.
-func (n *Network) ConflictGraph() map[graph.NodeID][]graph.NodeID {
-	return toca.ConflictGraphFrom(n.g.Nodes(), n.ConflictNeighbors)
-}
-
 // Partition is the paper's Fig 2 decomposition of the existing nodes
 // relative to a (joining or moving) node n:
 //

@@ -24,8 +24,9 @@ import (
 	"repro/internal/toca"
 )
 
-// Colorer recolors a conflict graph from scratch; the default is DSATUR.
-type Colorer func(coloring.Adjacency) toca.Assignment
+// Colorer recolors a conflict graph from scratch, writing vertex i's
+// color to colors[i]; the default is DSATUR.
+type Colorer func(g *coloring.Graph, colors []toca.Color)
 
 // Strategy is the BBB centralized recoloring baseline. A standalone
 // instance (New, NewFrom) owns its network; a shared instance
@@ -36,6 +37,19 @@ type Strategy struct {
 	assign  toca.Assignment
 	colorer Colorer
 	shared  bool // network is engine-owned; Apply must not mutate it
+
+	// Per-event buffers, reused across events: the conflict graph, the
+	// default colorer's scratch, and the colors it writes.
+	conflict coloring.Graph
+	dsatur   coloring.DSATUR
+	colors   []toca.Color
+}
+
+// newStrategy returns a DSATUR-coloring BBB recoder over net.
+func newStrategy(net *adhoc.Network, assign toca.Assignment, shared bool) *Strategy {
+	s := &Strategy{net: net, assign: assign, shared: shared}
+	s.colorer = s.dsatur.Color
+	return s
 }
 
 var _ strategy.Strategy = (*Strategy)(nil)
@@ -43,7 +57,7 @@ var _ engine.Subscriber = (*Strategy)(nil)
 
 // New returns a BBB recoder over an empty network using DSATUR.
 func New() *Strategy {
-	return &Strategy{net: adhoc.New(), assign: make(toca.Assignment), colorer: coloring.DSATUR}
+	return newStrategy(adhoc.New(), make(toca.Assignment), false)
 }
 
 // NewWithColorer returns a BBB recoder using a custom centralized
@@ -57,14 +71,14 @@ func NewWithColorer(c Colorer) *Strategy {
 // NewFrom returns a BBB recoder adopting an existing network and
 // assignment (used directly, not copied).
 func NewFrom(net *adhoc.Network, assign toca.Assignment) *Strategy {
-	return &Strategy{net: net, assign: assign, colorer: coloring.DSATUR}
+	return newStrategy(net, assign, false)
 }
 
 // NewShared returns a BBB recoder reading an engine-owned network. It
 // never mutates the topology; subscribe it to the owning engine and
 // drive it through OnDelta.
 func NewShared(net *adhoc.Network) *Strategy {
-	return &Strategy{net: net, assign: make(toca.Assignment), colorer: coloring.DSATUR, shared: true}
+	return newStrategy(net, make(toca.Assignment), true)
 }
 
 // Name implements strategy.Strategy.
@@ -125,19 +139,28 @@ func (s *Strategy) SetRange(id graph.NodeID, r float64) (strategy.Outcome, error
 	return s.Apply(strategy.PowerEvent(id, r))
 }
 
-// recolorAll runs DSATUR over the current conflict graph and reports
-// every changed node as recoded. The conflict graph comes from the
-// network's incremental per-node cache: between events only the dirty
-// ball around the event node is recomputed.
+// recolorAll recolors the whole conflict graph, rebuilt from the
+// network's digraph into the reused index-space buffers, and reports
+// every changed node as recoded.
 func (s *Strategy) recolorAll() strategy.Outcome {
-	adj := coloring.Adjacency(s.net.ConflictGraph())
-	fresh := s.colorer(adj)
+	s.conflict.BuildConflict(s.net.Graph())
+	n := s.conflict.Len()
+	if cap(s.colors) < n {
+		s.colors = make([]toca.Color, n)
+	}
+	s.colors = s.colors[:n]
+	s.colorer(&s.conflict, s.colors)
+	fresh := make(toca.Assignment, n)
 	recoded := make(map[graph.NodeID]toca.Color)
-	for id, c := range fresh {
+	maxColor := toca.None
+	for i, id := range s.conflict.IDs {
+		c := s.colors[i]
+		fresh[id] = c
 		if s.assign[id] != c {
 			recoded[id] = c
 		}
+		maxColor = max(maxColor, c)
 	}
 	s.assign = fresh
-	return strategy.Outcome{Recoded: recoded, MaxColor: fresh.MaxColor()}
+	return strategy.Outcome{Recoded: recoded, MaxColor: maxColor}
 }

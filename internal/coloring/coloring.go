@@ -1,11 +1,18 @@
 // Package coloring implements the graph-coloring heuristics the paper's
 // centralized baseline rests on: sequential greedy coloring over a given
-// vertex order, the DSATUR heuristic of Brelaz [9], and smallest-last
-// ordering. Colors are the positive integers of package toca; the input
-// is an undirected adjacency map as produced by toca.ConflictGraph.
+// vertex order, the DSATUR heuristic of Brelaz [9], RLF, and
+// smallest-last ordering. Colors are the positive integers of package
+// toca. DSATUR and RLF color a Graph, an index-space adjacency that
+// BuildConflict fills straight from a digraph's TOCA conflict relation;
+// Adjacency, a map of neighbour lists, is the convenience input of the
+// greedy orderings, the exact solver and tests, converted with
+// FromAdjacency.
 package coloring
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -95,39 +102,75 @@ func SmallestLastOrder(adj Adjacency) []graph.NodeID {
 	return order
 }
 
-// DSATUR colors the graph with the Brelaz heuristic: repeatedly color the
-// uncolored vertex of maximum saturation (number of distinct neighbor
-// colors), breaking ties by higher degree then lower ID, with the lowest
-// available color.
-func DSATUR(adj Adjacency) toca.Assignment {
-	n := len(adj)
-	a := make(toca.Assignment, n)
-	satSets := make(map[graph.NodeID]toca.ColorSet, n)
-	ids := nodesOf(adj)
-	for _, id := range ids {
-		satSets[id] = toca.NewColorSet()
+// DSATUR is the Brelaz heuristic: repeatedly color the uncolored vertex
+// of maximum saturation (number of distinct neighbour colors), breaking
+// ties by higher degree then lower index (lower node ID), with the
+// lowest available color. It holds the heuristic's scratch so repeated
+// colorings reuse it; the zero value is ready to use.
+type DSATUR struct {
+	// seen holds one bitset per vertex, words uint64s each: bit c-1 is
+	// set when an already-colored neighbour holds color c.
+	seen []uint64
+	// rank packs each uncolored vertex's choice order into one integer,
+	// sat<<2*rankBits | degree<<rankBits | (n-1-index), so the next
+	// vertex is simply the maximum; colored vertices hold -1.
+	rank []int64
+}
+
+// rankBits is the width of the degree and index fields of a rank; a
+// saturation is at most a degree, so all three fit below bit 63.
+const rankBits = 21
+
+// Color writes a DSATUR coloring of g into colors (len g.Len()). The
+// vertex count and every degree must stay below 2^21.
+func (d *DSATUR) Color(g *Graph, colors []toca.Color) {
+	n := g.Len()
+	maxDeg := 0
+	for _, nbrs := range g.Adj {
+		maxDeg = max(maxDeg, len(nbrs))
 	}
-	for done := 0; done < n; done++ {
-		var pick graph.NodeID
-		bestSat, bestDeg := -1, -1
-		for _, id := range ids {
-			if a[id] != toca.None {
+	if max(n, maxDeg) >= 1<<rankBits {
+		panic(fmt.Sprintf("coloring: DSATUR on %d vertices of degree up to %d, limit %d", n, maxDeg, 1<<rankBits-1))
+	}
+	// A vertex's saturation is at most its degree, so the color it takes
+	// is at most maxDeg+1: bits 0..maxDeg cover every color in play.
+	words := maxDeg/64 + 1
+	if cap(d.seen) < n*words {
+		d.seen = make([]uint64, n*words)
+	}
+	if cap(d.rank) < n {
+		d.rank = make([]int64, n)
+	}
+	seen, rank := d.seen[:n*words], d.rank[:n]
+	clear(seen)
+	for i, nbrs := range g.Adj {
+		rank[i] = int64(len(nbrs))<<rankBits | int64(n-1-i)
+	}
+	for range n {
+		pick, best := 0, int64(-1)
+		for i, r := range rank {
+			if r > best {
+				pick, best = i, r
+			}
+		}
+		own := seen[pick*words : (pick+1)*words]
+		w := 0
+		for own[w] == math.MaxUint64 {
+			w++
+		}
+		bit := bits.TrailingZeros64(^own[w])
+		colors[pick] = toca.Color(w<<6 + bit + 1)
+		rank[pick] = -1
+		for _, v := range g.Adj[pick] {
+			if rank[v] < 0 {
 				continue
 			}
-			sat, deg := satSets[id].Len(), len(adj[id])
-			if sat > bestSat || (sat == bestSat && deg > bestDeg) {
-				bestSat, bestDeg, pick = sat, deg, id
-			}
-		}
-		c := satSets[pick].LowestFree()
-		a[pick] = c
-		for _, v := range adj[pick] {
-			if a[v] == toca.None {
-				satSets[v].Add(c)
+			if word := &seen[int(v)*words+w]; *word&(1<<bit) == 0 {
+				*word |= 1 << bit
+				rank[v] += 1 << (2 * rankBits)
 			}
 		}
 	}
-	return a
 }
 
 // Proper reports whether a is a proper coloring of adj: every colored

@@ -78,7 +78,7 @@ func TestGreedyProperOnRandom(t *testing.T) {
 func TestDSATURProperOnRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		adj := randomAdjacency(seed, 20, 0.3)
-		return Proper(adj, DSATUR(adj))
+		return Proper(adj, dsatur(adj))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -90,7 +90,7 @@ func TestCliqueNeedsNColors(t *testing.T) {
 		adj := clique(n)
 		for name, a := range map[string]toca.Assignment{
 			"greedy": Greedy(adj, IdentityOrder(adj)),
-			"dsatur": DSATUR(adj),
+			"dsatur": dsatur(adj),
 		} {
 			if !Proper(adj, a) {
 				t.Fatalf("%s: improper on K_%d", name, n)
@@ -104,7 +104,7 @@ func TestCliqueNeedsNColors(t *testing.T) {
 
 func TestEvenCycleTwoColors(t *testing.T) {
 	adj := cycle(10)
-	a := DSATUR(adj)
+	a := dsatur(adj)
 	if !Proper(adj, a) || CountColors(a) != 2 {
 		t.Fatalf("even cycle: %d colors, proper=%v", CountColors(a), Proper(adj, a))
 	}
@@ -112,7 +112,7 @@ func TestEvenCycleTwoColors(t *testing.T) {
 
 func TestOddCycleThreeColors(t *testing.T) {
 	adj := cycle(9)
-	a := DSATUR(adj)
+	a := dsatur(adj)
 	if !Proper(adj, a) || CountColors(a) != 3 {
 		t.Fatalf("odd cycle: %d colors, proper=%v", CountColors(a), Proper(adj, a))
 	}
@@ -123,7 +123,7 @@ func TestOddCycleThreeColors(t *testing.T) {
 func TestDSATURBipartiteExact(t *testing.T) {
 	for _, dims := range [][2]int{{3, 4}, {5, 5}, {1, 7}, {2, 2}} {
 		adj := completeBipartite(dims[0], dims[1])
-		a := DSATUR(adj)
+		a := dsatur(adj)
 		if !Proper(adj, a) || CountColors(a) != 2 {
 			t.Fatalf("K_%d,%d: %d colors", dims[0], dims[1], CountColors(a))
 		}
@@ -171,7 +171,7 @@ func TestDSATURNotMuchWorseThanGreedy(t *testing.T) {
 	const trials = 40
 	for i := 0; i < trials; i++ {
 		adj := randomAdjacency(rng.Uint64(), 30, 0.3)
-		d := CountColors(DSATUR(adj))
+		d := CountColors(dsatur(adj))
 		g := CountColors(Greedy(adj, IdentityOrder(adj)))
 		if d > g {
 			worse++
@@ -196,7 +196,7 @@ func TestProperRejects(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	adj := Adjacency{}
-	if a := DSATUR(adj); len(a) != 0 {
+	if a := dsatur(adj); len(a) != 0 {
 		t.Fatalf("DSATUR on empty = %v", a)
 	}
 	if a := Greedy(adj, nil); len(a) != 0 {
@@ -209,7 +209,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestIsolatedVertices(t *testing.T) {
 	adj := Adjacency{1: nil, 2: nil, 3: nil}
-	a := DSATUR(adj)
+	a := dsatur(adj)
 	if !Proper(adj, a) || CountColors(a) != 1 {
 		t.Fatalf("isolated vertices: %v", a)
 	}

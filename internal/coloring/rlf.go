@@ -1,96 +1,81 @@
 package coloring
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/toca"
 )
 
-// RLF colors the graph with the Recursive Largest First heuristic
-// (Leighton): colors are built one class at a time. Each class starts
-// from the uncolored vertex with the most uncolored neighbors, then
-// greedily absorbs the candidate with the most neighbors *outside* the
-// remaining candidate set (maximizing how much of the class's
-// "forbidden zone" is reused), until no candidate remains.
+// RLF writes a Recursive Largest First coloring (Leighton) of g into
+// colors (len g.Len()): colors are built one class at a time. Each class
+// starts from the uncolored vertex with the most uncolored neighbours,
+// then greedily absorbs the candidate with the most neighbours *outside*
+// the remaining candidate set (maximizing how much of the class's
+// "forbidden zone" is reused), ties by fewest neighbours inside, until
+// no candidate remains. Ties left after that go to the lowest index.
 //
 // RLF typically uses slightly fewer colors than DSATUR on dense graphs
 // at a higher constant cost; it is offered as an alternative heuristic
 // for the BBB baseline's recoloring step.
-func RLF(adj Adjacency) toca.Assignment {
-	n := len(adj)
-	a := make(toca.Assignment, n)
-	uncolored := make(map[graph.NodeID]struct{}, n)
-	for id := range adj {
-		uncolored[id] = struct{}{}
+func RLF(g *Graph, colors []toca.Color) {
+	n := g.Len()
+	uncolored := make([]bool, n)
+	candidate := make([]bool, n)
+	for i := range uncolored {
+		uncolored[i] = true
 	}
-
-	neighbors := func(id graph.NodeID, in map[graph.NodeID]struct{}) int {
-		count := 0
-		for _, v := range adj[id] {
-			if _, ok := in[v]; ok {
-				count++
+	count := func(i int, in []bool) int {
+		c := 0
+		for _, v := range g.Adj[i] {
+			if in[v] {
+				c++
 			}
 		}
-		return count
+		return c
 	}
-
-	// Deterministic candidate iteration order.
-	sortedIDs := nodesOf(adj)
-
-	for c := toca.Color(1); len(uncolored) > 0; c++ {
-		// Candidates for this class: all uncolored vertices.
-		candidates := make(map[graph.NodeID]struct{}, len(uncolored))
-		for id := range uncolored {
-			candidates[id] = struct{}{}
+	// take puts i in class c and drops it and its neighbours from the
+	// candidates. Class building reads uncolored only to pick the seed,
+	// so i can leave it at once.
+	take := func(i int, c toca.Color) {
+		colors[i] = c
+		uncolored[i] = false
+		candidate[i] = false
+		for _, v := range g.Adj[i] {
+			candidate[v] = false
 		}
-		// Seed: candidate with most uncolored neighbors.
-		var seed graph.NodeID
-		bestDeg := -1
-		for _, id := range sortedIDs {
-			if _, ok := candidates[id]; !ok {
-				continue
-			}
-			if d := neighbors(id, uncolored); d > bestDeg {
-				bestDeg = d
-				seed = id
+	}
+	for c, left := toca.Color(1), n; left > 0; c++ {
+		copy(candidate, uncolored)
+		// Seed: the candidate with the most uncolored neighbours.
+		seed, bestDeg := 0, -1
+		for i, ok := range candidate {
+			if ok {
+				if d := count(i, uncolored); d > bestDeg {
+					seed, bestDeg = i, d
+				}
 			}
 		}
-		class := []graph.NodeID{seed}
-		removeWithNeighbors(candidates, adj, seed)
-
-		// Absorb: candidate maximizing neighbors outside the candidate
-		// set (i.e., already excluded by the class), ties by fewest
-		// neighbors inside, then lowest ID.
-		for len(candidates) > 0 {
-			var pick graph.NodeID
-			bestOut, bestIn := -1, 1<<30
-			for _, id := range sortedIDs {
-				if _, ok := candidates[id]; !ok {
+		take(seed, c)
+		left--
+		for {
+			pick, bestOut, bestIn := -1, -1, math.MaxInt
+			for i, ok := range candidate {
+				if !ok {
 					continue
 				}
-				out := len(adj[id]) - neighbors(id, candidates)
-				in := neighbors(id, candidates)
-				if out > bestOut || (out == bestOut && in < bestIn) {
-					bestOut, bestIn, pick = out, in, id
+				in := count(i, candidate)
+				if out := len(g.Adj[i]) - in; out > bestOut || (out == bestOut && in < bestIn) {
+					pick, bestOut, bestIn = i, out, in
 				}
 			}
-			class = append(class, pick)
-			removeWithNeighbors(candidates, adj, pick)
+			if pick < 0 {
+				break
+			}
+			take(pick, c)
+			left--
 		}
-		for _, id := range class {
-			a[id] = c
-			delete(uncolored, id)
-		}
-	}
-	return a
-}
-
-// removeWithNeighbors deletes id and all its neighbors from set.
-func removeWithNeighbors(set map[graph.NodeID]struct{}, adj Adjacency, id graph.NodeID) {
-	delete(set, id)
-	for _, v := range adj[id] {
-		delete(set, v)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func TestRLFProperOnRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		adj := randomAdjacency(seed, 25, 0.3)
-		return Proper(adj, RLF(adj))
+		return Proper(adj, rlf(adj))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -22,32 +22,32 @@ func TestRLFProperOnRandom(t *testing.T) {
 func TestRLFKnownStructures(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		adj := clique(n)
-		a := RLF(adj)
+		a := rlf(adj)
 		if !Proper(adj, a) || CountColors(a) != n {
 			t.Fatalf("K_%d: %d colors, proper=%v", n, CountColors(a), Proper(adj, a))
 		}
 	}
 	even := cycle(8)
-	if a := RLF(even); CountColors(a) != 2 || !Proper(even, a) {
-		t.Fatalf("even cycle: %d colors", CountColors(RLF(even)))
+	if a := rlf(even); CountColors(a) != 2 || !Proper(even, a) {
+		t.Fatalf("even cycle: %d colors", CountColors(rlf(even)))
 	}
 	odd := cycle(9)
-	if a := RLF(odd); CountColors(a) != 3 || !Proper(odd, a) {
-		t.Fatalf("odd cycle: %d colors", CountColors(RLF(odd)))
+	if a := rlf(odd); CountColors(a) != 3 || !Proper(odd, a) {
+		t.Fatalf("odd cycle: %d colors", CountColors(rlf(odd)))
 	}
 	bip := completeBipartite(4, 6)
-	if a := RLF(bip); CountColors(a) != 2 || !Proper(bip, a) {
-		t.Fatalf("K_4,6: %d colors", CountColors(RLF(bip)))
+	if a := rlf(bip); CountColors(a) != 2 || !Proper(bip, a) {
+		t.Fatalf("K_4,6: %d colors", CountColors(rlf(bip)))
 	}
 }
 
 func TestRLFEmptyAndIsolated(t *testing.T) {
-	if a := RLF(Adjacency{}); len(a) != 0 {
+	if a := rlf(Adjacency{}); len(a) != 0 {
 		t.Fatalf("empty = %v", a)
 	}
 	iso := Adjacency{1: nil, 2: nil}
-	if a := RLF(iso); CountColors(a) != 1 || !Proper(iso, a) {
-		t.Fatalf("isolated = %v", RLF(iso))
+	if a := rlf(iso); CountColors(a) != 1 || !Proper(iso, a) {
+		t.Fatalf("isolated = %v", rlf(iso))
 	}
 }
 
@@ -60,8 +60,8 @@ func TestRLFCompetitiveWithDSATUR(t *testing.T) {
 	const trials = 30
 	for i := 0; i < trials; i++ {
 		adj := randomAdjacency(rng.Uint64(), 30, 0.4)
-		totalRLF += CountColors(RLF(adj))
-		totalDSATUR += CountColors(DSATUR(adj))
+		totalRLF += CountColors(rlf(adj))
+		totalDSATUR += CountColors(dsatur(adj))
 	}
 	if totalRLF > totalDSATUR+trials {
 		t.Fatalf("RLF total %d vs DSATUR %d — more than one extra color per instance",

@@ -54,7 +54,7 @@ func ChromaticNumber(adj coloring.Adjacency, maxSteps int) Result {
 	})
 
 	// Upper bound: DSATUR heuristic.
-	best := coloring.DSATUR(adj)
+	best := coloring.ColorAdjacency(adj, new(coloring.DSATUR).Color)
 	bestK := coloring.CountColors(best)
 
 	// Lower bound: greedy clique from the densest vertex.

@@ -105,7 +105,7 @@ func TestNeverExceedsDSATUR(t *testing.T) {
 		if !res.Complete {
 			t.Fatalf("trial %d: incomplete", trial)
 		}
-		d := coloring.CountColors(coloring.DSATUR(adj))
+		d := coloring.CountColors(coloring.ColorAdjacency(adj, new(coloring.DSATUR).Color))
 		if res.Colors > d {
 			t.Fatalf("trial %d: exact %d > DSATUR %d", trial, res.Colors, d)
 		}
@@ -123,7 +123,7 @@ func TestDSATURGapOnPaperWorkloads(t *testing.T) {
 	worst := 0
 	for trial := 0; trial < 10; trial++ {
 		adj := randomConflictGraph(t, rng.Uint64(), 25)
-		gap, err := Gap(adj, coloring.DSATUR(adj), 5_000_000)
+		gap, err := Gap(adj, coloring.ColorAdjacency(adj, new(coloring.DSATUR).Color), 5_000_000)
 		if err != nil {
 			t.Skipf("trial %d: %v", trial, err)
 		}
@@ -193,7 +193,7 @@ func TestGapIncomplete(t *testing.T) {
 	adj := randomConflictGraph(t, rng.Uint64(), 40)
 	// Check Gap's error path with an absurdly small budget — unless the
 	// bounds close immediately, in which case the gap must be >= 0.
-	gap, err := Gap(adj, coloring.DSATUR(adj), 1)
+	gap, err := Gap(adj, coloring.ColorAdjacency(adj, new(coloring.DSATUR).Color), 1)
 	if err == nil && gap < 0 {
 		t.Fatalf("gap = %d", gap)
 	}

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -129,12 +130,19 @@ func (g *Digraph) NumEdges() int { return g.m }
 
 // Nodes returns all node IDs in ascending order.
 func (g *Digraph) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.out))
+	return g.AppendNodes(make([]NodeID, 0, len(g.out)))
+}
+
+// AppendNodes appends all node IDs to dst in ascending order and returns
+// the extended slice: Nodes into a caller-owned buffer, for hot paths
+// that rebuild a node table every event.
+func (g *Digraph) AppendNodes(dst []NodeID) []NodeID {
+	start := len(dst)
 	for id := range g.out {
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // OutNeighbors returns the nodes v with an edge id -> v, ascending.

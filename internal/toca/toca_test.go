@@ -2,6 +2,7 @@ package toca
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,7 +132,7 @@ func TestConflictGraphSymmetricAndComplete(t *testing.T) {
 	}
 	for u, nbrs := range adj {
 		for _, v := range nbrs {
-			if !containsID(adj[v], u) {
+			if !slices.Contains(adj[v], u) {
 				t.Fatalf("conflict graph asymmetric at %d~%d", u, v)
 			}
 			if u == v {
@@ -142,7 +143,7 @@ func TestConflictGraphSymmetricAndComplete(t *testing.T) {
 	// Every CA1/CA2 pair must be an edge of the conflict graph.
 	for _, u := range g.Nodes() {
 		for v := range ConflictNeighbors(g, u) {
-			if !containsID(adj[u], v) {
+			if !slices.Contains(adj[u], v) {
 				t.Fatalf("conflict pair %d~%d missing", u, v)
 			}
 		}
